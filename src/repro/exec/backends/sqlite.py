@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +54,24 @@ DB_FILENAME = "results.sqlite"
 #: batch thousands of rows per transaction, so contention windows are
 #: short; 30s absorbs even a slow competing bulk write.
 BUSY_TIMEOUT_SECONDS = 30.0
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL mode.
+
+    Processes opening a fresh store at once race on this switch, and
+    SQLite can report "database is locked" for it without running the
+    busy handler, so retry within the same busy budget.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_SECONDS
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
 
 #: Keys per ``IN (...)`` clause.  SQLite's default parameter limit is
 #: 999 (32766 on newer builds); staying under the old floor keeps the
@@ -125,7 +144,7 @@ class SqliteBackend(StoreBackend):
                 self._conn.close()
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_SECONDS)
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(_CREATE_META)
             conn.execute(_CREATE_PAYLOADS)
