@@ -154,6 +154,7 @@ def _run_chain_forked(group: Sequence[Cell]) -> tuple[list[StoredResult], int]:
         snap = trunk.snapshot()
         branch = Simulator.resume(snap, table)
         result = branch.drain()
+        metrics = result.metrics  # summarized on read: inside the timing
         forks += 1
         now = time.perf_counter()
         # The trunk segment since the last branch point is work this
@@ -161,7 +162,7 @@ def _run_chain_forked(group: Sequence[Cell]) -> tuple[list[StoredResult], int]:
         # here keeps per-cell sim_seconds summing to the chain's total.
         results.append(
             StoredResult(
-                metrics=result.metrics,
+                metrics=metrics,
                 events_processed=result.events_processed,
                 sim_seconds=now - mark,
             )

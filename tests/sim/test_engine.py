@@ -154,3 +154,62 @@ class TestDeterminism:
         assert result.workload_name == "meta-test"
         assert result.scheduler_name == "NOBF(FCFS)"
         assert result.events_processed >= 2
+
+
+class TestResultMetrics:
+    """``run``/``simulate`` summarize inside the run; ``drain`` defers the
+    summary to the first read of ``metrics``."""
+
+    @staticmethod
+    def _workload():
+        jobs = [
+            make_job(i, submit=i * 7.0, runtime=30.0 + i, procs=(i % 4) + 1)
+            for i in range(1, 40)
+        ]
+        return make_workload(jobs)
+
+    @pytest.fixture()
+    def legacy_calls(self, monkeypatch):
+        from repro.metrics import collector
+
+        calls = []
+        original = collector.summarize_legacy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(collector, "summarize_legacy", counting)
+        return calls
+
+    def test_simulate_summarizes_inside_the_run(self, legacy_calls):
+        from repro.metrics.collector import reference_summarize
+
+        with reference_summarize("legacy"):
+            result = simulate(self._workload(), EasyScheduler())
+            assert legacy_calls == [1]
+        result.metrics
+        assert legacy_calls == [1]
+
+    def test_drain_summarizes_on_first_read(self, legacy_calls):
+        from repro.metrics.collector import reference_summarize
+
+        sim = Simulator(self._workload(), EasyScheduler())
+        sim.run_until(20)
+        result = sim.drain()
+        with reference_summarize("legacy"):
+            assert legacy_calls == []
+            drained = result.metrics
+            assert legacy_calls == [1]
+        assert result.metrics is drained
+        assert drained == simulate(self._workload(), EasyScheduler()).metrics
+
+    def test_results_compare_by_value(self):
+        a = simulate(self._workload(), EasyScheduler())
+        b = simulate(self._workload(), EasyScheduler())
+        other = simulate(self._workload(), FCFSScheduler())
+        assert a == b
+        assert a != other
+        sim = Simulator(self._workload(), EasyScheduler())
+        sim.run_until(20)
+        assert sim.drain() == a
