@@ -125,9 +125,11 @@ def _run_chain_forked(group: Sequence[Cell]) -> tuple[list[StoredResult], int]:
     from repro.sim.engine import Simulator
 
     full_cell = group[-1]
-    tables = [cached_table(cell.spec) for cell in group]
-    full = tables[-1]
-    for cell, table in zip(group[:-1], tables[:-1]):
+    # Longest first: its base table then answers every shorter horizon
+    # of the stream as a prefix, so the chain generates once.
+    full = cached_table(full_cell.spec)
+    tables = [cached_table(cell.spec) for cell in group[:-1]]
+    for cell, table in zip(group[:-1], tables):
         n = len(table)
         # Columnar prefix verification: every column equal to the full
         # table's first n rows — value-identical to the job-tuple
@@ -149,7 +151,7 @@ def _run_chain_forked(group: Sequence[Cell]) -> tuple[list[StoredResult], int]:
     results: list[StoredResult] = []
     forks = 0
     mark = time.perf_counter()
-    for cell, table in zip(group[:-1], tables[:-1]):
+    for cell, table in zip(group[:-1], tables):
         trunk.run_until(len(table))
         snap = trunk.snapshot()
         branch = Simulator.resume(snap, table)

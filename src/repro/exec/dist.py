@@ -5,17 +5,23 @@ Two halves, both thin over :class:`~repro.exec.queue.CellQueue`:
 * :func:`run_worker` — the worker loop behind ``repro worker``: claim a
   batch of chain-group leases, simulate them through the existing
   :func:`~repro.exec.chains.simulate_chunk_chained` path (the runner's
-  per-process workload cache plays the preload role across leases — a
-  worker builds each distinct base workload once and forks chains within
-  a group exactly as the process-pool path does), and commit every
-  group's results in the same transaction that marks its lease done.
-  Run any number of these, on one host or many sharing a filesystem.
+  per-process base-table cache plays the preload role across leases — a
+  worker generates each ``(trace, seed)`` stream once at the longest
+  horizon it is asked for, answers shorter horizons with its prefix, and
+  forks chains within a group exactly as the process-pool path does),
+  and commit every group's results in the same transaction that marks
+  its lease done.  Run any number of these, on one host or many sharing
+  a filesystem.
 * :class:`DistExecutor` — a drop-in :class:`CellExecutor`: resolves warm
   cells against the store in one ``get_many``, enqueues only the misses,
   optionally spawns local worker processes (spawn context — workers must
-  never inherit the coordinator's SQLite handles), waits for the queue
-  to drain, and reads the finished results back from the shared
-  database.  Because it *is* a ``CellExecutor``, it installs with
+  never inherit the coordinator's SQLite handles), and waits for the
+  queue to drain.  Results the coordinator simulated itself (inline
+  drain, ``workers=0``) are handed to its store's memory layer as each
+  group commits, so only results other workers committed are read back
+  and decoded from the shared database; every result is still checked
+  against the database's row metadata before it is returned.  Because it
+  *is* a ``CellExecutor``, it installs with
   :func:`repro.exec.set_default_executor` and everything built on
   :func:`repro.exec.run_cells` — experiments, the CLI — distributes
   without knowing it.
@@ -49,7 +55,7 @@ from repro.exec.queue import (
     DEFAULT_MAX_ATTEMPTS,
     CellQueue,
 )
-from repro.exec.store import ResultStore
+from repro.exec.store import ResultStore, StoredResult
 from repro.metrics.collector import RunMetrics
 
 __all__ = ["WorkerReport", "run_worker", "worker_process_main", "DistExecutor"]
@@ -110,8 +116,14 @@ def run_worker(
     poll_seconds: float = 0.5,
     idle_seconds: float = 0.0,
     progress: Callable[[WorkerReport], None] | None = None,
+    commit: Callable[[list[tuple[Cell, StoredResult]]], None] | None = None,
 ) -> WorkerReport:
     """Drain the queue at ``queue_dir``: claim, simulate, commit, repeat.
+
+    ``commit``, when given, receives each group's ``[(cell, stored), ...]``
+    list right after the queue has committed it — the inline-draining
+    coordinator passes its store's :meth:`~ResultStore.remember_many`
+    here, so it never decodes what it has just simulated.
 
     Exits when the queue holds no open work (``idle_seconds`` lets a
     worker linger that long for new work first — useful for workers
@@ -132,7 +144,7 @@ def run_worker(
             if claimed:
                 idle_since = None
                 for index, group in enumerate(claimed):
-                    _run_group(queue, group, report)
+                    _run_group(queue, group, report, commit)
                     # One group can outlive the whole batch's lease (a
                     # deep-queue condition simulates orders of magnitude
                     # slower than the median cell), so re-arm the
@@ -168,7 +180,7 @@ def run_worker(
     return report
 
 
-def _run_group(queue: CellQueue, group, report: WorkerReport) -> None:
+def _run_group(queue: CellQueue, group, report: WorkerReport, commit) -> None:
     """Simulate one claimed group and commit or fail it."""
     cells = list(group.cells)
     try:
@@ -178,7 +190,10 @@ def _run_group(queue: CellQueue, group, report: WorkerReport) -> None:
         queue.fail(group.group_id, f"{type(exc).__name__}: {exc}", poison=poison)
         report.groups_failed += 1
         return
-    queue.complete(report.owner, [group.group_id], list(zip(cells, storeds)))
+    pairs = list(zip(cells, storeds))
+    queue.complete(report.owner, [group.group_id], pairs)
+    if commit is not None:
+        commit(pairs)
     report.groups_completed += 1
     report.cells_simulated += len(cells)
     report.events_processed += sum(s.events_processed for s in storeds)
@@ -290,6 +305,7 @@ class DistExecutor(CellExecutor):
                         max_attempts=self.queue.max_attempts,
                         batch_groups=self.batch_groups,
                         poll_seconds=self.poll_seconds,
+                        commit=self.store.remember_many,
                     )
                     report.chains += inline.chains
                     report.chained_cells += inline.chained_cells
@@ -299,8 +315,16 @@ class DistExecutor(CellExecutor):
                 self._reap_workers(procs)
             self._raise_poisoned(misses)
             report.completed = report.cache_hits
+            # Inline results answer from the memory layer; the rest are
+            # read back.  Either way each must have its row on disk.
             fetched = self.store.get_many(misses)
-            lost = [cell for cell in misses if cell not in fetched]
+            keys = [cell.content_hash() for cell in misses]
+            persisted = self.store.backend.resolve_many(keys).hits
+            lost = [
+                cell
+                for cell, key in zip(misses, keys)
+                if cell not in fetched or key not in persisted
+            ]
             if lost:
                 raise ReproError(
                     f"distributed sweep finished but {len(lost)} result(s) "

@@ -258,6 +258,17 @@ class ResultStore:
             self.backend.put_many(items)
         self.stats.writes += len(pairs)
 
+    def remember_many(self, pairs: Iterable[tuple[Cell, StoredResult]]) -> None:
+        """Record results that are already persisted in the memory layer only.
+
+        For a caller that committed the rows itself by another path (the
+        distributed queue's same-transaction completion): later lookups
+        answer from memory without decoding the rows just written.
+        Nothing is written, so ``stats.writes`` is unchanged.
+        """
+        for cell, stored in pairs:
+            self._memory_put(cell.content_hash(), stored)
+
     def resolve_many(self, cells: Sequence[Cell]) -> dict[Cell, tuple[int, float]]:
         """Bulk cache-state resolution: which cells are warm, and their
         ``(events_processed, sim_seconds)`` bookkeeping — metrics payloads

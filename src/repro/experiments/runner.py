@@ -14,9 +14,10 @@ here behind a bounded LRU so a long ``experiment all`` sweep cannot grow
 without bound.
 
 Workload construction is columnar: the expensive part — generating a
-trace's jobs — is memoized once per ``(trace, n_jobs, seed)`` as a
+trace's jobs — is memoized once per ``(trace, seed)`` stream as a
 :class:`~repro.workload.table.JobTable` (:func:`base_workload_table`),
-and each spec's load scale and estimate model are then derived from that
+shorter horizons being prefixes of the longest table generated, and
+each spec's load scale and estimate model are then derived from that
 table with vectorized transforms (:func:`make_workload_table`).  The
 result is float-identical to the original row-at-a-time path, which is
 kept as :func:`make_workload_rows` for the differential suite.  Worker
@@ -144,33 +145,37 @@ def _generator_for(trace: str):
     raise ConfigurationError(f"unknown trace {trace!r}")
 
 
-#: Upper bound on memoized base (pre-transform) tables.  Generation
-#: dominates workload-construction cost; a sweep varies load scale and
-#: estimate regime over few (trace, n_jobs, seed) triples, so a small
-#: LRU captures nearly every reuse.
+#: Upper bound on memoized base (pre-transform) tables, one per
+#: ``(trace, seed)`` stream.  Generation dominates workload-construction
+#: cost; a sweep varies load scale, estimate regime and horizon over few
+#: streams, and every horizon of a stream is answered from one table, so
+#: a small LRU captures nearly every reuse.
 BASE_TABLE_CACHE_LIMIT = 8
 
-_base_table_cache: OrderedDict[tuple[str, int, int], JobTable] = OrderedDict()
+_base_table_cache: OrderedDict[tuple[str, int], JobTable] = OrderedDict()
 
 
 def base_workload_table(trace: str, n_jobs: int, seed: int) -> JobTable:
     """The generated (pre-transform) workload as a columnar table, memoized.
 
     This is the expensive step of :func:`make_workload`; every spec that
-    shares a ``(trace, n_jobs, seed)`` triple derives its load scale and
-    estimates from this one table.
+    shares a ``(trace, seed)`` stream derives its load scale and
+    estimates from one table.  Every generator draws its random stream
+    job by job, so ``n`` jobs of a stream are exactly the first ``n`` of
+    any longer draw: the cache holds the longest table generated so far
+    and answers shorter horizons with its prefix, regenerating only when
+    a longer one is asked for.
     """
-    key = (trace, n_jobs, seed)
+    key = (trace, seed)
     table = _base_table_cache.get(key)
-    if table is None:
+    if table is None or not 0 <= n_jobs <= len(table):
         workload = _generator_for(trace).generate(n_jobs, seed=seed)
         table = JobTable.from_workload(workload)
         _base_table_cache[key] = table
-        while len(_base_table_cache) > BASE_TABLE_CACHE_LIMIT:
-            _base_table_cache.popitem(last=False)
-    else:
-        _base_table_cache.move_to_end(key)
-    return table
+    _base_table_cache.move_to_end(key)
+    while len(_base_table_cache) > BASE_TABLE_CACHE_LIMIT:
+        _base_table_cache.popitem(last=False)
+    return table if len(table) == n_jobs else table.truncate(max_jobs=n_jobs)
 
 
 def make_workload_table(spec: WorkloadSpec) -> JobTable:
@@ -272,9 +277,13 @@ def preload_workload_tables(payloads: list[tuple[dict, dict]]) -> None:
 
 
 def workload_preload_payloads(specs) -> list[tuple[dict, dict]]:
-    """Build :func:`preload_workload_tables` input for distinct ``specs``."""
+    """Build :func:`preload_workload_tables` input for distinct ``specs``.
+
+    Longest horizons are built first, so each ``(trace, seed)`` stream is
+    generated once and its shorter horizons are prefixes of that table.
+    """
     out = []
-    for spec in dict.fromkeys(specs):
+    for spec in sorted(dict.fromkeys(specs), key=lambda spec: -spec.n_jobs):
         out.append((asdict(spec), make_workload_table(spec).to_payload()))
     return out
 

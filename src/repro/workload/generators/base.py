@@ -298,11 +298,9 @@ class ModelGenerator(WorkloadGenerator):
         rng = np.random.default_rng(seed)
         clock = 0.0
         jobs: list[Job] = []
-        categories: dict[str, int] = {c: 0 for c in _CATEGORIES}
         for index in range(n_jobs):
             clock += self.model.sample_interarrival(rng, clock)
-            runtime, width, category = self.model.sample_job_shape(rng)
-            categories[category] += 1
+            runtime, width, _ = self.model.sample_job_shape(rng)
             jobs.append(
                 Job(
                     job_id=index + 1,
@@ -323,6 +321,5 @@ class ModelGenerator(WorkloadGenerator):
                 "generator": type(self).__name__,
                 "seed": seed,
                 "target_load": self.model.target_load,
-                "category_counts": categories,
             },
         )

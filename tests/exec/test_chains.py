@@ -173,3 +173,50 @@ class TestReportRendering:
         executor.execute([_cell(n_jobs=n) for n in (80, 120)])
         assert executor.session.chains == 1
         assert executor.session.chain_forks == 1
+
+
+class TestGenerationCount:
+    """A chained horizon sweep generates each (trace, seed) stream once."""
+
+    HORIZONS = (30, 60, 90)
+    STREAMS = [("CTC", 1), ("CTC", 2), ("SDSC", 1), ("SDSC", 2)]
+
+    @pytest.mark.parametrize("dist", [False, True], ids=["serial", "dist-inline"])
+    def test_generate_runs_once_per_stream_at_the_longest_horizon(
+        self, dist, tmp_path, monkeypatch
+    ):
+        from repro.exec import DistExecutor
+        from repro.experiments.runner import clear_cache
+        from repro.workload.generators.base import ModelGenerator
+
+        calls = []
+        real = ModelGenerator.generate
+
+        def recording(self, n_jobs, *, seed=0):
+            calls.append((self.model.name, n_jobs, seed))
+            return real(self, n_jobs, seed=seed)
+
+        monkeypatch.setattr(ModelGenerator, "generate", recording)
+        cells = [
+            Cell.make(WorkloadSpec(trace, n, seed, load, "user"), kind, "FCFS")
+            for trace, seed in self.STREAMS
+            for load in (0.8, 1.0)
+            for kind in ("nobf", "easy")
+            for n in self.HORIZONS
+        ]
+        clear_cache()
+        if dist:
+            executor = DistExecutor(tmp_path, workers=0)
+        else:
+            executor = CellExecutor(store=ResultStore())
+        try:
+            executor.execute(cells)
+        finally:
+            clear_cache()
+            if dist:
+                executor.queue.close()
+        assert sorted(calls) == [
+            (trace, max(self.HORIZONS), seed) for trace, seed in sorted(self.STREAMS)
+        ]
+        # Two forks per three-horizon chain: no chain fell back.
+        assert executor.last_report.chain_forks == 2 * len(cells) // 3

@@ -164,6 +164,48 @@ class TestDistExecutor:
         assert len(fetched) == len(good)
         dist.queue.close()
 
+    def test_inline_drain_answers_its_own_results_without_decoding(self, tmp_path):
+        cells = [
+            Cell(WorkloadSpec("CTC", n, seed=seed, load_scale=0.9), kind, "FCFS")
+            for seed in (1, 2)
+            for kind in ("nobf", "easy")
+            for n in (20, 40)
+        ]
+        dist = DistExecutor(tmp_path)
+        digests = [metrics_digest(m) for m in dist.execute(cells)]
+        # Every cell missed cold, then came back from the memory layer the
+        # inline worker filled: nothing was read back from disk.
+        assert dist.store.stats.misses == len(cells)
+        assert dist.store.stats.memory_hits == len(cells)
+        assert dist.store.stats.disk_hits == 0
+        dist.queue.close()
+
+        reopened = ResultStore(tmp_path, backend="sqlite")
+        fetched = reopened.get_many(cells)
+        assert reopened.stats.disk_hits == len(cells)
+        assert [metrics_digest(fetched[c].metrics) for c in cells] == digests
+        reopened.backend.close()
+
+    def test_done_row_missing_its_meta_entry_still_raises(self, tmp_path, monkeypatch):
+        import sqlite3
+        from contextlib import closing
+
+        cells = grid(3)
+        dist = DistExecutor(tmp_path)
+        lost_key = cells[1].content_hash()
+        remember = dist.store.remember_many
+
+        def remember_then_lose_meta(pairs):
+            remember(pairs)
+            with closing(sqlite3.connect(dist.store.backend.path)) as conn, conn:
+                conn.execute("DELETE FROM meta WHERE key = ?", (lost_key,))
+
+        monkeypatch.setattr(dist.store, "remember_many", remember_then_lose_meta)
+        with pytest.raises(ReproError, match="1 result\\(s\\) did not read back"):
+            dist.execute(cells)
+        assert dist.queue.states_for(cells)[lost_key] == "done"
+        dist.queue.close()
+
     def test_rejects_foreign_store_and_negative_workers(self, tmp_path):
         with pytest.raises(ConfigurationError):
             DistExecutor(tmp_path / "q", workers=-1)

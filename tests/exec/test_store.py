@@ -37,6 +37,14 @@ class TestMemoryLayer:
     def test_memory_only_store_has_no_paths(self):
         assert ResultStore().path_for(CELL) is None
 
+    def test_remember_many_fills_memory_and_writes_nothing(self, stored, tmp_path):
+        store = ResultStore(cache_dir=tmp_path, backend="sqlite")
+        store.remember_many([(CELL, stored)])
+        assert store.get(CELL) is stored
+        assert store.stats.memory_hits == 1
+        assert store.stats.writes == 0
+        assert store.entry_count() == 0
+
 
 class TestDiskLayer:
     def test_round_trip_is_float_identical(self, stored, tmp_path):

@@ -169,3 +169,50 @@ class TestCellCache:
         cached_workload(WorkloadSpec(n_jobs=10, seed=WORKLOAD_CACHE_LIMIT))
         assert first in _workload_cache  # survived the eviction
         assert WorkloadSpec(n_jobs=10, seed=1) not in _workload_cache
+
+
+class TestBaseTableCache:
+    """One cached table per (trace, seed) stream, shorter horizons as prefixes."""
+
+    @pytest.fixture()
+    def generated(self, monkeypatch):
+        from repro.workload.generators.base import ModelGenerator
+
+        calls = []
+        real = ModelGenerator.generate
+
+        def recording(self, n_jobs, *, seed=0):
+            calls.append((self.model.name, n_jobs, seed))
+            return real(self, n_jobs, seed=seed)
+
+        monkeypatch.setattr(ModelGenerator, "generate", recording)
+        return calls
+
+    def test_shorter_horizon_is_a_prefix_without_regenerating(self, generated):
+        from repro.experiments.runner import _base_table_cache, base_workload_table
+
+        long = base_workload_table("CTC", 90, 4)
+        short = base_workload_table("CTC", 30, 4)
+        assert generated == [("CTC", 90, 4)]
+        assert len(short) == 30
+        for name, column in short.columns.items():
+            assert (column == long.columns[name][:30]).all()
+        assert base_workload_table("CTC", 90, 4) is long
+        assert list(_base_table_cache) == [("CTC", 4)]
+
+    def test_longer_horizon_regenerates_and_replaces(self, generated):
+        from repro.experiments.runner import _base_table_cache, base_workload_table
+
+        base_workload_table("SDSC", 30, 4)
+        longer = base_workload_table("SDSC", 60, 4)
+        base_workload_table("SDSC", 45, 4)
+        assert generated == [("SDSC", 30, 4), ("SDSC", 60, 4)]
+        assert _base_table_cache[("SDSC", 4)] is longer
+
+    def test_negative_horizon_still_rejected_by_the_generator(self):
+        from repro.errors import WorkloadError
+        from repro.experiments.runner import base_workload_table
+
+        base_workload_table("CTC", 30, 4)
+        with pytest.raises(WorkloadError, match="n_jobs must be >= 0"):
+            base_workload_table("CTC", -1, 4)
